@@ -14,13 +14,11 @@
 //!   churning FIB entries between traffic chunks, reported against the
 //!   churn-free rate on the same device.
 //! * **ingress** — batched run-to-completion (`run_batch_into`: one
-//!   compiled-path/scratch checkout for the whole drain) against both
-//!   per-packet ingress paths it subsumes — the unbatched interpreter
-//!   ingress (`Device::run`) and the pre-batching compiled drain — over
-//!   identical traffic on a shallow single-stage L3 device where loop
-//!   overhead is a measurable fraction of packet cost. CI runs this in
-//!   smoke mode and gates on batched >= unbatched, plus a parity floor
-//!   against the compiled drain.
+//!   compiled-path/scratch checkout for the whole drain) against the
+//!   unbatched interpreter ingress (`Device::run`) over identical traffic
+//!   on a shallow single-stage L3 device where loop overhead is a
+//!   measurable fraction of packet cost. CI runs this in smoke mode and
+//!   gates on batched >= unbatched.
 
 use ipbm::{IpbmConfig, IpbmSwitch};
 use ipsa_bench::{emit, ipsa_sw_flow, populate_rp4_flow, render_table};
@@ -65,26 +63,18 @@ struct ForwardingSeries {
     churn_ratio: f64,
 }
 
-/// Series C: batched run-to-completion vs the two per-packet ingress
-/// paths it subsumes.
+/// Series C: batched run-to-completion vs the unbatched interpreter
+/// ingress.
 #[derive(Debug, Serialize)]
 struct IngressSeries {
     packets: usize,
     /// `Device::run()`: the unbatched per-packet interpreter ingress.
     unbatched_pps: f64,
-    /// The pre-batching compiled drain: resolve-once, but a per-packet
-    /// compiled-path/scratch checkout and pending-ring poll.
-    per_packet_compiled_pps: f64,
     batched_pps: f64,
     /// Speedup of batched over the unbatched ingress, computed from the
     /// fastest chunk on each side (robust to host jitter; see
     /// `ingress_series`). CI gates on this.
     ratio: f64,
-    /// Batched over the per-packet compiled drain, same estimator. The
-    /// expected value is parity-to-slightly-better: the compiled drain
-    /// already amortizes compilation, and what batching adds there is
-    /// allocation-freedom (pinned by `tests/alloc_free.rs`), not rate.
-    compiled_drain_ratio: f64,
 }
 
 /// Machine-readable artifact for CI and EXPERIMENTS.md.
@@ -389,21 +379,20 @@ fn light_l3() -> IpbmSwitch {
     sw
 }
 
-/// Series C: batched run-to-completion against both per-packet ingress
-/// paths, over identical traffic in fine-grained rotating chunks (host-
+/// Series C: batched run-to-completion against the unbatched interpreter
+/// ingress, over identical traffic in fine-grained rotating chunks (host-
 /// load drift and episodic CPU throttling land on every side equally).
-/// The headline ratios compare the FASTEST chunk on each side: scheduler
+/// The headline ratio compares the FASTEST chunk on each side: scheduler
 /// noise on a shared host is one-sided — interruptions only ever add
 /// time — so the minimum over many same-sized windows converges to each
 /// path's true cost where a mean or median still carries ±3% jitter.
 fn ingress_series(packets: usize) -> IngressSeries {
     let mut batched = light_l3();
-    let mut compiled_drain = light_l3();
     let mut unbatched = light_l3();
     // v4-only: the light device routes 10.0.0.0/8, which covers every
     // generated v4 flow.
     let gen = || TrafficGen::new(17).with_v6_percent(0).with_flows(64);
-    let (mut gen_a, mut gen_b, mut gen_c) = (gen(), gen(), gen());
+    let (mut gen_a, mut gen_b) = (gen(), gen());
     let mut out = Vec::new();
 
     // Each chunk is cheap (sub-millisecond), so even smoke mode can
@@ -424,46 +413,35 @@ fn ingress_series(packets: usize) -> IngressSeries {
             b.inject(p);
         }
         let t = Instant::now();
-        let n = b.run_batch_per_packet().len();
-        (n, t.elapsed().as_secs_f64())
-    };
-    let measure_c = |c: &mut IpbmSwitch, gen: &mut TrafficGen| {
-        for p in gen.batch(CHUNK) {
-            c.inject(p);
-        }
-        let t = Instant::now();
-        let n = c.run().len();
+        let n = b.run().len();
         (n, t.elapsed().as_secs_f64())
     };
 
-    // Warm all three devices (compile epochs, grow every buffer)
-    // unmeasured.
+    // Warm both devices (compile epochs, grow every buffer) unmeasured.
     for _ in 0..4 {
         measure_a(&mut batched, &mut gen_a, &mut out);
-        measure_b(&mut compiled_drain, &mut gen_b);
-        measure_c(&mut unbatched, &mut gen_c);
+        measure_b(&mut unbatched, &mut gen_b);
     }
 
-    let mut total = [0.0f64; 3];
-    let mut min = [f64::INFINITY; 3];
+    let mut total = [0.0f64; 2];
+    let mut min = [f64::INFINITY; 2];
     let mut emitted = 0usize;
     for i in 0..rounds {
-        // Rotate which side runs first within the round.
-        let mut res = [(0usize, 0.0f64); 3];
-        for k in 0..3 {
-            match (i + k) % 3 {
+        // Alternate which side runs first within the round.
+        let mut res = [(0usize, 0.0f64); 2];
+        for k in 0..2 {
+            match (i + k) % 2 {
                 0 => res[0] = measure_a(&mut batched, &mut gen_a, &mut out),
-                1 => res[1] = measure_b(&mut compiled_drain, &mut gen_b),
-                _ => res[2] = measure_c(&mut unbatched, &mut gen_c),
+                _ => res[1] = measure_b(&mut unbatched, &mut gen_b),
             }
         }
-        let [(na, ta), (nb, tb), (nc, tc)] = res;
+        let [(na, ta), (nb, tb)] = res;
         assert!(
-            na > 0 && na == nb && na == nc,
-            "all ingress paths must emit identically"
+            na > 0 && na == nb,
+            "both ingress paths must emit identically"
         );
         emitted += na;
-        for (slot, t) in [ta, tb, tc].into_iter().enumerate() {
+        for (slot, t) in [ta, tb].into_iter().enumerate() {
             total[slot] += t;
             min[slot] = min[slot].min(t);
         }
@@ -471,12 +449,10 @@ fn ingress_series(packets: usize) -> IngressSeries {
 
     IngressSeries {
         packets: rounds * CHUNK,
-        unbatched_pps: emitted as f64 / total[2],
-        per_packet_compiled_pps: emitted as f64 / total[1],
+        unbatched_pps: emitted as f64 / total[1],
         batched_pps: emitted as f64 / total[0],
-        // Same packet count on every side: time ratios are speedups.
-        ratio: min[2] / min[0],
-        compiled_drain_ratio: min[1] / min[0],
+        // Same packet count on both sides: time ratios are speedups.
+        ratio: min[1] / min[0],
     }
 }
 
@@ -514,16 +490,9 @@ fn main() {
         vec![
             "ingress".into(),
             format!("{} pkts", ingress.packets),
-            format!(
-                "unbatched {:.0} / compiled drain {:.0} kpps",
-                ingress.unbatched_pps / 1e3,
-                ingress.per_packet_compiled_pps / 1e3
-            ),
+            format!("unbatched {:.0} kpps", ingress.unbatched_pps / 1e3),
             format!("batched {:.0} kpps", ingress.batched_pps / 1e3),
-            format!(
-                "{:.2}x vs unbatched, {:.2}x vs drain",
-                ingress.ratio, ingress.compiled_drain_ratio
-            ),
+            format!("{:.2}x vs unbatched", ingress.ratio),
         ],
     ];
     let out = render_table(
@@ -560,14 +529,5 @@ fn main() {
         "batched ingress must not be slower than the unbatched per-packet \
          ingress (got {:.2}x)",
         json.ingress.ratio
-    );
-    // The compiled drain already amortizes compilation, so this is a
-    // parity floor, not a speedup claim: 0.90 leaves room for the ±3%
-    // code-layout jitter two separately-compiled loops carry run-to-run.
-    assert!(
-        json.ingress.compiled_drain_ratio >= 0.90,
-        "batched ingress regressed against the per-packet compiled drain \
-         (got {:.2}x)",
-        json.ingress.compiled_drain_ratio
     );
 }

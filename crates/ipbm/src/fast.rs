@@ -25,7 +25,8 @@
 //! [`EvalScratch`] and are reused). Compilation is conservative: any
 //! construct it cannot pre-resolve either falls back to the interpreter for
 //! the whole pipeline (unknown table/action, crossbar violation — cases the
-//! interpreter reports per packet) or to a `Slow` wrapper around the shared
+//! interpreter reports per packet; each such failure is counted in the
+//! switch report) or to a `Slow` wrapper around the shared
 //! interpreter code for just that operand/primitive, so the two paths
 //! cannot diverge semantically. The differential property test in
 //! `crates/bench/tests/differential.rs` holds them to that.
@@ -1040,31 +1041,13 @@ impl CompiledPath {
 
     /// Runs one packet through the compiled pipeline. Mirrors
     /// [`crate::pm::PipelineModule::run_packet`] including every statistic.
-    pub fn run_packet(
-        &self,
-        pm: &mut crate::pm::PipelineModule,
-        linkage: &HeaderLinkage,
-        sm: &mut StorageModule,
-        scratch: &mut EvalScratch,
-        pkt: Packet,
-    ) -> Result<Option<Packet>, CoreError> {
-        self.run_packet_parts(
-            &mut pm.stats,
-            SlotStatsMut::Slots(&mut pm.slots),
-            &mut pm.tm,
-            linkage,
-            sm,
-            scratch,
-            pkt,
-        )
-    }
-
-    /// [`CompiledPath::run_packet`] against explicit pipeline parts instead
-    /// of a whole [`crate::pm::PipelineModule`]. A shard worker owns no
-    /// TSP-slot chain of its own — only a stats array, a Traffic Manager,
-    /// and an SM clone — and this is the entry point it drives.
+    /// Takes the pipeline parts rather than a whole
+    /// [`crate::pm::PipelineModule`]: the single-core switch lends its own
+    /// slot chain and Traffic Manager (through a
+    /// [`crate::pm::BurstRunner`]), while a shard worker owns no TSP-slot
+    /// chain — only a stats array, a Traffic Manager, and an SM clone.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_packet_parts(
+    pub fn run_packet(
         &self,
         stats: &mut crate::pm::PipelineStats,
         mut slots: SlotStatsMut<'_>,

@@ -17,7 +17,7 @@ use ipsa_netpkt::linkage::HeaderLinkage;
 use ipsa_netpkt::packet::Packet;
 use serde::Serialize;
 
-use crate::fast::{self, CompiledPath, EvalScratch};
+use crate::fast::{self, CompiledPath, EvalScratch, SlotStatsMut};
 use crate::sm::StorageModule;
 use crate::tsp::TspSlot;
 
@@ -329,6 +329,18 @@ pub struct PipelineStats {
     pub held_during_drain: u64,
 }
 
+impl PipelineStats {
+    /// Additively folds another pipeline's counters into this one; used
+    /// when shard-local deltas are merged at an epoch barrier.
+    pub fn fold(&mut self, d: &PipelineStats) {
+        self.received += d.received;
+        self.emitted += d.emitted;
+        self.action_drops += d.action_drops;
+        self.parse_drops += d.parse_drops;
+        self.held_during_drain += d.held_during_drain;
+    }
+}
+
 /// The pipeline module.
 #[derive(Debug)]
 pub struct PipelineModule {
@@ -352,6 +364,11 @@ pub struct PipelineModule {
     scratch: EvalScratch,
     /// Controller-installed dataflow facts guiding the next compilation.
     facts: Option<ProgramFacts>,
+    /// Fast-path compilations that failed (each one an interpreter
+    /// fallback), surfaced in the switch report.
+    pub(crate) compile_failures: u64,
+    /// Text of the most recent compilation failure.
+    pub(crate) last_compile_error: Option<String>,
 }
 
 impl PipelineModule {
@@ -370,6 +387,8 @@ impl PipelineModule {
             compiled: None,
             scratch: EvalScratch::default(),
             facts: None,
+            compile_failures: 0,
+            last_compile_error: None,
         })
     }
 
@@ -418,90 +437,71 @@ impl PipelineModule {
         self.facts.as_ref()
     }
 
+    /// Compiles the fast path for the current epoch (the single-core
+    /// switch and the sharded publisher both build through here).
+    /// Compilation fails on an unknown table, a crossbar violation, or an
+    /// undefined action; every failure is counted and its text kept for
+    /// the switch report, so an interpreter fallback is never silent.
+    pub fn compile_path(
+        &mut self,
+        linkage: &HeaderLinkage,
+        sm: &StorageModule,
+    ) -> Result<CompiledPath, CoreError> {
+        fast::compile(
+            &self.slots,
+            &self.selector,
+            &self.crossbar,
+            sm,
+            linkage,
+            self.epoch,
+            self.facts.as_ref(),
+        )
+        .map_err(|e| self.fail_compile(e))
+    }
+
+    /// Records one failed compilation (see [`PipelineModule::compile_path`])
+    /// and hands the error back.
+    pub(crate) fn fail_compile(&mut self, e: CoreError) -> CoreError {
+        self.compile_failures += 1;
+        self.last_compile_error = Some(e.to_string());
+        e
+    }
+
     /// Ensures a compiled fast path exists for the current epoch. Returns
-    /// whether one is installed afterwards — compilation failures (unknown
-    /// table, crossbar violation, undefined action) leave the pipeline on
-    /// the interpreter, which reports those conditions per packet.
+    /// whether one is installed afterwards — compilation failures leave
+    /// the pipeline on the interpreter, which reports those conditions per
+    /// packet.
     pub fn ensure_compiled(&mut self, linkage: &HeaderLinkage, sm: &StorageModule) -> bool {
         if self.compiled.is_none() {
-            self.compiled = fast::compile(
-                &self.slots,
-                &self.selector,
-                &self.crossbar,
-                sm,
-                linkage,
-                self.epoch,
-                self.facts.as_ref(),
-            )
-            .ok();
+            self.compiled = self.compile_path(linkage, sm).ok();
         }
         self.compiled.is_some()
     }
 
-    /// Runs one packet through the compiled fast path when one is
-    /// installed, falling back to [`PipelineModule::run_packet`] otherwise.
-    /// Call [`PipelineModule::ensure_compiled`] once per batch first.
-    pub fn run_batch_packet(
-        &mut self,
-        linkage: &HeaderLinkage,
-        sm: &mut StorageModule,
-        pkt: Packet,
-    ) -> Result<Option<Packet>, CoreError> {
-        let Some(cp) = self.compiled.take() else {
-            return self.run_packet(linkage, sm, pkt);
-        };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = cp.run_packet(self, linkage, sm, &mut scratch, pkt);
-        self.scratch = scratch;
-        self.compiled = Some(cp);
-        r
-    }
-
     /// Checks out the compiled fast path and scratch buffers for a whole
-    /// run-to-completion drain: the take/restore round-trip
-    /// [`PipelineModule::run_batch_packet`] pays per packet happens once,
-    /// and the [`BurstRunner`] restores them when dropped.
+    /// run-to-completion drain; the [`BurstRunner`] restores them when
+    /// dropped.
     ///
     /// Call [`PipelineModule::ensure_compiled`] once per epoch first; the
     /// caller guarantees no control-plane write lands while the runner is
     /// live (this is the hoisted epoch-validity model). Without a compiled
     /// path the runner falls back to the interpreter per packet.
     pub fn burst_runner(&mut self) -> BurstRunner<'_> {
-        let cp = self.compiled.take();
+        self.runner(true)
+    }
+
+    /// [`PipelineModule::burst_runner`], or with `compiled == false` a
+    /// runner that withholds the compiled path (it stays installed) and
+    /// interprets every packet — the reference the differential suites
+    /// compare the fast path against.
+    pub(crate) fn runner(&mut self, compiled: bool) -> BurstRunner<'_> {
+        let cp = if compiled { self.compiled.take() } else { None };
         let scratch = std::mem::take(&mut self.scratch);
         BurstRunner {
             cp,
             scratch,
             pm: self,
         }
-    }
-
-    /// Runs a whole burst run-to-completion through the compiled fast path
-    /// via one [`PipelineModule::burst_runner`] checkout. Drains `pkts`,
-    /// pushes emitted packets to `out`, and classifies truncated-parse
-    /// failures as counted drops the same way the per-packet switch loop
-    /// does. On a (fatal) device error the rest of the burst is discarded
-    /// with the error propagated.
-    pub fn run_burst(
-        &mut self,
-        linkage: &HeaderLinkage,
-        sm: &mut StorageModule,
-        pkts: &mut Vec<Packet>,
-        out: &mut Vec<Packet>,
-    ) -> Result<(), CoreError> {
-        let mut runner = self.burst_runner();
-        let mut result = Ok(());
-        for pkt in pkts.drain(..) {
-            match runner.run(linkage, sm, pkt) {
-                Ok(Some(p)) => out.push(p),
-                Ok(None) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        result
     }
 
     /// Number of physical slots.
@@ -606,9 +606,9 @@ impl BurstRunner<'_> {
         self.pm.draining
     }
 
-    /// Runs one packet — compiled fast path when installed, interpreter
+    /// Runs one packet — compiled fast path when checked out, interpreter
     /// otherwise — classifying truncated-parse failures as counted drops
-    /// the same way the per-packet switch loop does.
+    /// the same way the shard workers do.
     #[inline]
     pub fn run(
         &mut self,
@@ -616,18 +616,30 @@ impl BurstRunner<'_> {
         sm: &mut StorageModule,
         pkt: Packet,
     ) -> Result<Option<Packet>, CoreError> {
+        let pm = &mut *self.pm;
         let r = match &self.cp {
-            Some(cp) => cp.run_packet(self.pm, linkage, sm, &mut self.scratch, pkt),
-            None => self.pm.run_packet(linkage, sm, pkt),
+            Some(cp) => cp.run_packet(
+                &mut pm.stats,
+                SlotStatsMut::Slots(&mut pm.slots),
+                &mut pm.tm,
+                linkage,
+                sm,
+                &mut self.scratch,
+                pkt,
+            ),
+            None => pm.run_packet(linkage, sm, pkt),
         };
-        crate::switch::classify_packet_result(r, &mut self.pm.stats)
+        crate::switch::classify_packet_result(r, &mut pm.stats)
     }
 }
 
 impl Drop for BurstRunner<'_> {
     fn drop(&mut self) {
         self.pm.scratch = std::mem::take(&mut self.scratch);
-        self.pm.compiled = self.cp.take();
+        // An interpreting runner never took the compiled path; leave it.
+        if let Some(cp) = self.cp.take() {
+            self.pm.compiled = Some(cp);
+        }
     }
 }
 
@@ -767,6 +779,25 @@ mod tests {
         assert_eq!(out.meta.egress_port, Some(3));
         assert_eq!(pm.stats.emitted, 1);
         assert_eq!(pm.tm.stats.enqueued, 1);
+    }
+
+    #[test]
+    fn compile_path_fails_on_unknown_table_and_counts_it() {
+        let (linkage, mut sm, mut pm) = two_stage();
+        assert!(pm.compile_path(&linkage, &sm).is_ok());
+        assert_eq!(pm.compile_failures, 0);
+        sm.destroy_table("out").unwrap();
+        let e = pm.compile_path(&linkage, &sm).unwrap_err();
+        assert!(
+            matches!(e, CoreError::UnknownTable(ref t) if t == "out"),
+            "{e}"
+        );
+        assert!(!pm.ensure_compiled(&linkage, &sm));
+        assert_eq!(pm.compile_failures, 2, "every failed attempt counts");
+        assert_eq!(
+            pm.last_compile_error.as_deref(),
+            Some(e.to_string().as_str())
+        );
     }
 
     #[test]

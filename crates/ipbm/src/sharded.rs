@@ -62,7 +62,7 @@ use ipsa_core::hash::flow_hash;
 use ipsa_netpkt::linkage::HeaderLinkage;
 use ipsa_netpkt::packet::Packet;
 
-use crate::fast::{self, CompiledPath, EvalScratch, SlotStatsMut};
+use crate::fast::{CompiledPath, EvalScratch, SlotStatsMut};
 use crate::hist::BusyHistogram;
 use crate::pm::{PipelineStats, TmStats, TrafficManager, TM_QUEUE_CAPACITY};
 use crate::resilience::{FaultPlan, ShardFault, ShardFaultKind, SupervisorStats};
@@ -661,27 +661,21 @@ impl ShardedSwitch {
     /// at the epoch publish, so a killed shard is back within two epochs).
     /// On compile failure the master interpreter takes over until a later
     /// epoch compiles (the single-core switch falls back the same way), so
-    /// a broken program degrades throughput, not correctness.
+    /// a broken program degrades throughput, not correctness. Every
+    /// failure, injected or not, is counted in the master's report.
     fn republish(&mut self) {
         self.reconcile_workers();
-        let pm = &self.master.pm;
-        let poisoned = self.faults.poison_compile_at_epoch == Some(pm.epoch());
-        let compiled = if poisoned {
-            None
+        let m = &mut self.master;
+        let epoch = m.pm.epoch();
+        let compiled = if self.faults.poison_compile_at_epoch == Some(epoch) {
+            Err(m.pm.fail_compile(CoreError::Config(format!(
+                "injected compile poison at epoch {epoch}"
+            ))))
         } else {
-            fast::compile(
-                &pm.slots,
-                &pm.selector,
-                &pm.crossbar,
-                &self.master.sm,
-                &self.master.linkage,
-                pm.epoch(),
-                pm.facts(),
-            )
-            .ok()
+            m.pm.compile_path(&m.linkage, &m.sm)
         };
         match compiled {
-            Some(cp) => {
+            Ok(cp) => {
                 let compiled = Arc::new(cp);
                 let linkage = Arc::new(self.master.linkage.clone());
                 let mut dead: Vec<usize> = Vec::new();
@@ -710,7 +704,7 @@ impl ShardedSwitch {
                 self.dirty = self.workers.len() < self.target
                     || self.workers.iter().take(self.target).any(|w| !w.alive);
             }
-            None => {
+            Err(_) => {
                 self.fallback = true;
             }
         }
@@ -899,26 +893,36 @@ impl ShardedSwitch {
     /// cores than shards, where concurrent workers timeslice one core and
     /// wall-clock readings would charge each shard for its neighbors.
     pub fn run_batch_sequential(&mut self) -> Vec<Packet> {
-        match self.pre_batch() {
-            Ok(work) => {
-                let mut leftover: Vec<Packet> = Vec::new();
-                for (shard, bucket) in work {
-                    if bucket.is_empty() {
-                        self.recycle_bucket(bucket);
-                        continue;
-                    }
-                    match self.dispatch(shard, bucket) {
-                        Ok(()) => self.collect_from(&[shard]),
-                        Err(mut b) => {
-                            leftover.append(&mut b);
-                            self.recycle_bucket(b);
-                        }
-                    }
-                }
-                self.finish_batch(leftover)
+        self.dispatch_batch(true)
+    }
+
+    /// The one sharded dispatch loop behind [`Device::run_batch`] and
+    /// [`ShardedSwitch::run_batch_sequential`]: RSS-dispatch every pending
+    /// packet, collecting each bucket right after its dispatch when
+    /// `sequential`. Buckets bounced by a dead worker are rehashed by
+    /// `finish_batch`, whose barrier folds every live shard, so stats and
+    /// counters are coherent before any control message can observe them.
+    fn dispatch_batch(&mut self, sequential: bool) -> Vec<Packet> {
+        let work = match self.pre_batch() {
+            Ok(work) => work,
+            Err(handled) => return handled,
+        };
+        let mut leftover: Vec<Packet> = Vec::new();
+        for (shard, bucket) in work {
+            if bucket.is_empty() {
+                self.recycle_bucket(bucket);
+                continue;
             }
-            Err(handled) => handled,
+            match self.dispatch(shard, bucket) {
+                Ok(()) if sequential => self.collect_from(&[shard]),
+                Ok(()) => {}
+                Err(mut b) => {
+                    leftover.append(&mut b);
+                    self.recycle_bucket(b);
+                }
+            }
         }
+        self.finish_batch(leftover)
     }
 
     /// One autoscale decision per data batch, taken right after the
@@ -967,11 +971,7 @@ impl ShardedSwitch {
     /// transmits its output through the master CM.
     fn fold(&mut self, r: ShardReply) {
         let pm = &mut self.master.pm;
-        pm.stats.received += r.stats.received;
-        pm.stats.emitted += r.stats.emitted;
-        pm.stats.action_drops += r.stats.action_drops;
-        pm.stats.parse_drops += r.stats.parse_drops;
-        pm.stats.held_during_drain += r.stats.held_during_drain;
+        pm.stats.fold(&r.stats);
         pm.tm.stats.fold(&r.tm);
         for (slot, ss) in r.slot_stats.iter().enumerate() {
             if let Some(s) = pm.slots.get_mut(slot) {
@@ -1059,7 +1059,7 @@ impl Device for ShardedSwitch {
     }
 
     fn inject(&mut self, packet: Packet) {
-        self.master.cm.inject(packet);
+        self.master.inject(packet);
     }
 
     fn run(&mut self) -> Vec<Packet> {
@@ -1072,26 +1072,7 @@ impl Device for ShardedSwitch {
     }
 
     fn run_batch(&mut self) -> Vec<Packet> {
-        match self.pre_batch() {
-            Ok(work) => {
-                let mut leftover: Vec<Packet> = Vec::new();
-                for (shard, bucket) in work {
-                    if bucket.is_empty() {
-                        self.recycle_bucket(bucket);
-                        continue;
-                    }
-                    if let Err(mut b) = self.dispatch(shard, bucket) {
-                        leftover.append(&mut b);
-                        self.recycle_bucket(b);
-                    }
-                }
-                // Barrier (inside `finish_batch`): every batch ends fully
-                // folded, so stats and counters are coherent before any
-                // control message can observe them.
-                self.finish_batch(leftover)
-            }
-            Err(handled) => handled,
-        }
+        self.dispatch_batch(false)
     }
 
     fn pending(&self) -> usize {
@@ -1193,7 +1174,7 @@ fn worker_loop(
                 };
                 let t0 = Instant::now();
                 for pkt in pkts.drain(..) {
-                    let r = ep.compiled.run_packet_parts(
+                    let r = ep.compiled.run_packet(
                         &mut stats,
                         SlotStatsMut::Stats(&mut slot_stats),
                         &mut tm,
@@ -1492,8 +1473,40 @@ mod tests {
         }
         assert!(sw.run_batch().is_empty());
         assert_eq!(sw.pending(), 5);
+        assert_eq!(sw.report().pipeline.held_during_drain, 5);
         sw.apply(&[ControlMsg::Resume]).unwrap();
         assert_eq!(sw.run_batch().len(), 5);
+        // Counted once at the master's inject, never again at a fold.
+        assert_eq!(sw.report().pipeline.held_during_drain, 5);
+    }
+
+    #[test]
+    fn poisoned_compile_is_counted_and_output_unchanged() {
+        let mut reference = ShardedSwitch::new(IpbmConfig::default(), 2);
+        reference.apply(&l3_msgs(4)).unwrap();
+        let mut sw = ShardedSwitch::new(IpbmConfig::default(), 2);
+        sw.apply(&l3_msgs(4)).unwrap();
+        sw.set_fault_plan(FaultPlan {
+            poison_compile_at_epoch: Some(sw.master.pm.epoch()),
+            ..Default::default()
+        });
+        for p in traffic(16) {
+            reference.inject(p.clone());
+            sw.inject(p);
+        }
+        let key = |p: &Packet| (p.data.clone(), p.meta.egress_port);
+        let mut a = reference.run_batch();
+        let mut b = sw.run_batch();
+        assert!(!sw.on_compiled_path());
+        a.sort_by_key(key);
+        b.sort_by_key(key);
+        assert_eq!(a, b, "the interpreter fallback forwards identically");
+        let (ra, rb) = (reference.report(), sw.report());
+        assert_eq!(ra.pipeline, rb.pipeline);
+        assert_eq!(ra.compile_failures, 0);
+        assert_eq!(rb.compile_failures, 1);
+        let text = rb.last_compile_error.unwrap();
+        assert!(text.contains("poison"), "{text}");
     }
 
     /// A rejected control batch is rolled back by the master, so it must

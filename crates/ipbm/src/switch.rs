@@ -111,6 +111,11 @@ pub struct SwitchReport {
     pub mem_accesses: u64,
     /// Active TSPs (power model input).
     pub active_tsps: usize,
+    /// Fast-path compilations that failed, each one an interpreter
+    /// fallback (see [`PipelineModule::compile_path`]).
+    pub compile_failures: u64,
+    /// Text of the most recent compilation failure.
+    pub last_compile_error: Option<String>,
 }
 
 /// The IPSA behavioral-model software switch.
@@ -270,106 +275,84 @@ impl IpbmSwitch {
                 .collect(),
             mem_accesses: self.sm.mem_accesses,
             active_tsps: self.pm.active_tsps(),
+            compile_failures: self.pm.compile_failures,
+            last_compile_error: self.pm.last_compile_error.clone(),
         }
     }
 
     /// Processes exactly one pending packet through the interpreter.
     /// Returns whether a packet was emitted (it lands on the CM's tx side;
     /// fetch it with [`CommModule::collect_tx`]); `Ok(false)` when idle,
-    /// draining, or the packet was dropped.
+    /// draining, or the packet was dropped; `Err` carries the packet's
+    /// device error.
     pub fn step(&mut self) -> Result<bool, CoreError> {
-        if self.pm.draining {
-            return Ok(false);
-        }
-        let Some(pkt) = self.cm.next_rx() else {
-            return Ok(false);
-        };
-        let r = self.pm.run_packet(&self.linkage, &mut self.sm, pkt);
-        self.finish_step(r)
-    }
-
-    /// [`IpbmSwitch::step`] via the compiled fast path when one is
-    /// installed (the caller ensures compilation once per batch).
-    fn step_batch(&mut self) -> Result<bool, CoreError> {
-        if self.pm.draining {
-            return Ok(false);
-        }
-        let Some(pkt) = self.cm.next_rx() else {
-            return Ok(false);
-        };
-        let r = self.pm.run_batch_packet(&self.linkage, &mut self.sm, pkt);
-        self.finish_step(r)
-    }
-
-    fn finish_step(&mut self, r: Result<Option<Packet>, CoreError>) -> Result<bool, CoreError> {
-        match classify_packet_result(r, &mut self.pm.stats)? {
-            Some(out) => {
-                self.cm.transmit(out);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.drain(false, 1)
     }
 
     /// Batched run-to-completion ingress: drains the RX rings through the
-    /// compiled fast path with the epoch check and the compiled-path/
-    /// scratch checkout hoisted to once per drain (the per-packet loop
-    /// pays both per packet), transmits, then drains the TX rings into
-    /// the caller-owned `out`. Returns how many packets were handed back.
-    /// Packets flow ring→pipeline→ring directly — measurement showed even
-    /// one intermediate staging buffer costs ~2-3% at these rates.
-    /// Transmit order is processing order, identical to the per-packet
-    /// loop. With a [`PacketArena`](ipsa_netpkt::arena::PacketArena)
-    /// recycling the packets handed back through `out`, the whole
+    /// compiled fast path, then drains the TX rings into the caller-owned
+    /// `out`. Returns how many packets were handed back. The epoch check
+    /// and the compiled-path/scratch checkout happen once per drain.
+    /// With a [`PacketArena`](ipsa_netpkt::arena::PacketArena) recycling
+    /// the packets handed back through `out`, the whole
     /// inject→process→collect loop is allocation-free in steady state
     /// (`tests/alloc_free.rs`).
     pub fn run_batch_into(&mut self, out: &mut Vec<Packet>) -> usize {
         // Resolve-once / run-many: build (or reuse) the compiled fast path
-        // for this control-plane epoch. If compilation fails, the runner
-        // interprets each packet, as the per-packet loop always has.
+        // for this control-plane epoch. If compilation fails, the drain
+        // interprets each packet.
         self.pm.ensure_compiled(&self.linkage, &self.sm);
-        // One compiled-path/scratch checkout for the whole drain — no
-        // control-plane write can land while the runner is live.
-        let mut runner = self.pm.burst_runner();
-        while !runner.draining() {
-            let Some(pkt) = self.cm.next_rx() else {
-                break;
-            };
-            match runner.run(&self.linkage, &mut self.sm, pkt) {
-                Ok(Some(p)) => self.cm.transmit(p),
-                Ok(None) => {}
-                Err(e) => {
-                    debug_assert!(false, "pipeline error: {e}");
-                    let _ = e;
-                }
-            }
-        }
-        drop(runner);
+        self.drain_all(true);
         self.cm.tx_burst(out)
     }
 
-    /// The pre-burst per-packet batch loop, kept as the measurement
-    /// baseline for [`IpbmSwitch::run_batch_into`] (`benches/scale.rs`
-    /// ingress series). Semantically identical, one packet at a time.
-    #[doc(hidden)]
-    pub fn run_batch_per_packet(&mut self) -> Vec<Packet> {
-        if !self.pm.ensure_compiled(&self.linkage, &self.sm) {
-            return self.run();
+    /// Drains every pending packet (until the rings empty or a structural
+    /// update starts draining the pipeline). Per-packet errors surface as
+    /// drops, traced by a debug assertion in debug builds: the data plane
+    /// must not wedge on one bad packet.
+    fn drain_all(&mut self, compiled: bool) {
+        while let Err(e) = self.drain(compiled, usize::MAX) {
+            debug_assert!(false, "pipeline error: {e}");
+            let _ = e;
         }
-        while !self.pm.draining && self.cm.rx_pending() > 0 {
-            if let Err(e) = self.step_batch() {
-                debug_assert!(false, "pipeline error: {e}");
-                let _ = e;
+    }
+
+    /// The switch's one ring→pipeline→ring loop: runs up to `limit`
+    /// pending packets in arrival order through one
+    /// [`BurstRunner`](crate::pm::BurstRunner) — the compiled fast path
+    /// when `compiled` and one is installed, the interpreter otherwise —
+    /// and transmits each emitted packet. Packets flow ring→pipeline→ring
+    /// directly: measurement showed even one intermediate staging buffer
+    /// costs ~2-3% at these rates. The loop stops early while the pipeline
+    /// is draining, and at the first device error, which it returns (the
+    /// offending packet is consumed). Otherwise returns whether the last
+    /// packet run was emitted.
+    fn drain(&mut self, compiled: bool, limit: usize) -> Result<bool, CoreError> {
+        let mut runner = self.pm.runner(compiled);
+        let mut emitted = false;
+        for _ in 0..limit {
+            if runner.draining() {
+                break;
             }
+            let Some(pkt) = self.cm.next_rx() else {
+                break;
+            };
+            emitted = match runner.run(&self.linkage, &mut self.sm, pkt)? {
+                Some(p) => {
+                    self.cm.transmit(p);
+                    true
+                }
+                None => false,
+            };
         }
-        self.cm.collect_tx()
+        Ok(emitted)
     }
 }
 
 /// Classifies one per-packet pipeline result the way real hardware does:
 /// malformed traffic (e.g. truncated mid-header) is a parse drop, not a
 /// device fault — switches discard runts. Any other error propagates.
-/// Shared by the interpreter step loop and the sharded workers so both
+/// Shared by the single-core drain loop and the sharded workers so both
 /// planes count drops identically.
 #[inline]
 pub(crate) fn classify_packet_result(
@@ -436,19 +419,15 @@ impl Device for IpbmSwitch {
     }
 
     fn inject(&mut self, packet: Packet) {
+        if self.pm.draining {
+            self.pm.stats.held_during_drain += 1;
+        }
         self.cm.inject(packet);
     }
 
     fn run(&mut self) -> Vec<Packet> {
-        while !self.pm.draining && self.cm.rx_pending() > 0 {
-            // Per-packet errors surface as drops with the error traced to
-            // stderr in debug builds; the data plane must not wedge on one
-            // bad packet.
-            if let Err(e) = self.step() {
-                debug_assert!(false, "pipeline error: {e}");
-                let _ = e;
-            }
-        }
+        // The interpreter reference: the compiled path is withheld.
+        self.drain_all(false);
         self.cm.collect_tx()
     }
 
@@ -596,8 +575,44 @@ mod tests {
         }));
         assert!(sw.run().is_empty());
         assert_eq!(sw.pending(), 1);
+        assert_eq!(sw.report().pipeline.held_during_drain, 1);
         sw.apply(&[ControlMsg::Resume]).unwrap();
         assert_eq!(sw.run().len(), 1);
+        assert_eq!(sw.report().pipeline.held_during_drain, 1);
+    }
+
+    #[test]
+    fn step_matches_run() {
+        let mut stepped = minimal_switch();
+        let mut reference = minimal_switch();
+        let routed = ipv4_udp_packet(&Ipv4UdpSpec {
+            dst_ip: 0x0a010101,
+            ..Default::default()
+        });
+        // Cut mid-IPv4 header: the parser drops it as a runt.
+        let truncated = Packet::new(routed.data[..20].to_vec(), 0);
+        let unrouted = ipv4_udp_packet(&Ipv4UdpSpec {
+            dst_ip: 0x0b010101,
+            ..Default::default()
+        });
+        let wave = [routed.clone(), truncated, unrouted, routed];
+        for sw in [&mut stepped, &mut reference] {
+            for p in &wave {
+                sw.inject(p.clone());
+            }
+        }
+        let mut emitted = Vec::new();
+        for _ in &wave {
+            emitted.push(stepped.step().unwrap());
+        }
+        assert_eq!(emitted, [true, false, false, true]);
+        assert!(!stepped.step().unwrap(), "idle switch emits nothing");
+        assert_eq!(stepped.cm.collect_tx(), reference.run());
+        let (a, b) = (stepped.report(), reference.report());
+        assert_eq!(a.pipeline, b.pipeline);
+        assert_eq!(a.pipeline.parse_drops, 1);
+        assert_eq!(a.tm, b.tm);
+        assert_eq!(stepped.sm.mem_accesses, reference.sm.mem_accesses);
     }
 
     #[test]
@@ -642,6 +657,7 @@ mod tests {
 
     #[test]
     fn burst_batch_matches_per_packet_batch() {
+        // The interpreter reference (`run`) against the compiled drain.
         let mut per_pkt = minimal_switch();
         let mut burst = minimal_switch();
         // More than two RX_BURSTs, with drops interleaved.
@@ -660,7 +676,7 @@ mod tests {
         };
         inject_wave(&mut per_pkt, 0);
         inject_wave(&mut burst, 0);
-        let out_a = per_pkt.run_batch_per_packet();
+        let out_a = per_pkt.run();
         let mut out_b = Vec::new();
         assert_eq!(burst.run_batch_into(&mut out_b), out_a.len());
         assert_eq!(out_a, out_b);
@@ -670,10 +686,12 @@ mod tests {
         // Second wave through the same reused output buffer.
         inject_wave(&mut per_pkt, 1000);
         inject_wave(&mut burst, 1000);
-        let out_a2 = per_pkt.run_batch_per_packet();
+        let out_a2 = per_pkt.run();
         out_b.clear();
         assert_eq!(burst.run_batch_into(&mut out_b), out_a2.len());
         assert_eq!(out_a2, out_b);
+        assert!(burst.pm.has_compiled());
+        assert_eq!(per_pkt.report().pipeline, burst.report().pipeline);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Proves the acceptance criterion "zero per-packet heap allocation on the
 //! steady-state path": a counting global allocator wraps the system
 //! allocator, the compiled fast path is built and warmed, and then a batch
-//! of pre-built packets is driven through `run_batch_packet` with the
-//! allocation counter pinned at zero delta.
+//! of pre-built packets is driven through the pipeline's `BurstRunner` with
+//! the allocation counter pinned at zero delta.
 //!
 //! The interpreter cannot pass this test — it clones parse-requirement
 //! strings, action bodies, and argument vectors per packet — which is the
@@ -140,11 +140,9 @@ fn steady_state_fast_path_does_not_allocate() {
         dst_ip: 0x0a010101,
         ..Default::default()
     });
+    let mut runner = sw.pm.burst_runner();
     for _ in 0..32 {
-        let out = sw
-            .pm
-            .run_batch_packet(&sw.linkage, &mut sw.sm, proto.clone())
-            .unwrap();
+        let out = runner.run(&sw.linkage, &mut sw.sm, proto.clone()).unwrap();
         assert!(out.is_some(), "warm-up packet must forward");
     }
 
@@ -166,16 +164,12 @@ fn steady_state_fast_path_does_not_allocate() {
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut emitted = 0u32;
     for pkt in batch {
-        if sw
-            .pm
-            .run_batch_packet(&sw.linkage, &mut sw.sm, pkt)
-            .unwrap()
-            .is_some()
-        {
+        if runner.run(&sw.linkage, &mut sw.sm, pkt).unwrap().is_some() {
             emitted += 1;
         }
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    drop(runner);
 
     assert_eq!(emitted, 256);
     assert_eq!(
@@ -241,7 +235,7 @@ fn steady_state_full_loop_does_not_allocate() {
     );
 }
 
-/// The sharded runtime's per-packet worker loop — `run_packet_parts`
+/// The sharded runtime's per-packet worker loop — `CompiledPath::run_packet`
 /// against a detached stats array, a worker-local Traffic Manager, and a
 /// cloned Storage Module, exactly the state `ipbm::sharded`'s workers own —
 /// must be as allocation-free as the single-core path. (Dispatch and
@@ -279,7 +273,7 @@ fn shard_worker_inner_loop_does_not_allocate() {
     };
     for _ in 0..32 {
         let out = compiled
-            .run_packet_parts(
+            .run_packet(
                 &mut stats,
                 SlotStatsMut::Stats(&mut slot_stats),
                 &mut tm,
@@ -297,7 +291,7 @@ fn shard_worker_inner_loop_does_not_allocate() {
     let mut emitted = 0u32;
     for pkt in batch {
         if compiled
-            .run_packet_parts(
+            .run_packet(
                 &mut stats,
                 SlotStatsMut::Stats(&mut slot_stats),
                 &mut tm,
